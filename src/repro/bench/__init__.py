@@ -6,7 +6,7 @@ machine-checked *performance* story the paper's claims rest on:
 * a **benchmark-case registry** -- the fourth
   :class:`repro.registry.Registry` instantiation
   (:func:`register_benchmark`; built-in cases in :mod:`.cases` replace the
-  old hand-rolled ``benchmarks/bench_*.py`` measurement bodies), each case a
+  old hand-rolled ``bench_*.py`` measurement scripts), each case a
   tagged measurement closure over the shared shrinkable
   :class:`BenchWorkload`;
 * **phase-level telemetry** (:mod:`repro.telemetry`, re-exported here) --

@@ -11,7 +11,7 @@ Two size tiers exist:
   every axis so the entire suite completes in well under two minutes.
 
 Both tiers remain overridable through the ``UNSNAP_BENCH_*`` environment
-variables that the old ``benchmarks/bench_*.py`` scripts introduced -- the
+variables that the old ``bench_*.py`` scripts introduced -- the
 same knobs, now applied uniformly to every case.
 """
 

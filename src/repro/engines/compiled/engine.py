@@ -9,19 +9,21 @@ couplings reading ``psi`` of earlier buckets, and run the pivoted
 forward/backward substitutions -- all in one pass over preallocated
 contiguous arrays, no temporaries, no interpreter in the loop.
 
-The engine follows the executor's factor-cache lifecycle exactly like
-``prefactorized``: entries live in :attr:`SweepExecutor.factor_cache` under
-``(engine_name, angle, bucket_index)`` keys, are rebuilt on a miss (the
-one-time assembly + LU factorisation, against the executor's *current*
-cross sections) and are dropped by ``invalidate_factor_cache`` /
-``update_materials`` / ``set_engine``.  Under a factor-cache budget the
-evicted entries are transparently recomputed on the next sweep -- the
-kernel never sees a stale factor.
+Like ``prefactorized`` it is a caching engine on the shared bucket loop
+(:func:`~repro.engines.base.sweep_buckets`): entries live in
+:attr:`SweepExecutor.factor_cache` under ``(engine_name, angle,
+bucket_index)`` keys, are rebuilt on a miss (the one-time assembly + LU
+factorisation, against the executor's *current* cross sections) and are
+dropped by ``invalidate_factor_cache`` / ``update_materials`` /
+``set_engine``.  Under a factor-cache budget the evicted entries are
+transparently recomputed on the next sweep -- the kernel never sees a stale
+factor.
 
 The boundary path (incident flux or lagged block-Jacobi traces) reuses the
 numpy :func:`~repro.engines.batched.assemble_bucket_rhs` for the irregular
 per-face scans and calls the kernel in solve-only mode, so vacuum interior
-sweeps -- the hot path of every benchmark -- never leave compiled code.
+sweeps -- the hot path of every benchmark -- never leave compiled code; their
+fused assemble+solve time is booked as solve.
 
 The compiled tier carries its own factorisation
 (:func:`~repro.solvers.prefactor.batched_gaussian_lu_factor`), matching the
@@ -35,17 +37,11 @@ conformance matrix at tolerance instead.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ...solvers.prefactor import batched_gaussian_lu_factor
-from ...telemetry import active
-from ..batched import (
-    assemble_bucket_matrices,
-    assemble_bucket_rhs,
-    interior_upwind_couplings,
-)
+from ..base import sweep_buckets
+from ..batched import assemble_bucket_matrices, interior_upwind_couplings
 from ..registry import register_engine
 from .providers import as_contiguous_f64, as_contiguous_i64, select_provider
 
@@ -69,15 +65,17 @@ class CompiledSweepEngine:
         self._provider = provider
         self.provider_name = provider.name
 
-    def _build_entry(self, executor, direction, orient, bucket, timings):
-        """Assemble, factor and pack one (angle, bucket) cache entry."""
-        num_groups = executor.num_groups
-        num_nodes = executor.num_nodes
-        batch = bucket.shape[0]
+    def sweep_angle(self, executor, angle, total_source, boundary_values, incident, timings):
+        return sweep_buckets(
+            self, executor, angle, as_contiguous_f64(total_source), boundary_values,
+            incident, timings, kernel=self._provider.kernel(),
+        )
 
-        t0 = time.perf_counter()
-        a = assemble_bucket_matrices(executor, direction, orient, bucket)
-        interior = interior_upwind_couplings(executor, direction, orient, bucket)
+    def assemble_entry(self, sweep, bucket, orient):
+        """Assemble one (angle, bucket) system and pack its kernel arrays."""
+        executor = sweep.executor
+        a = assemble_bucket_matrices(executor, sweep.direction, orient, bucket)
+        interior = interior_upwind_couplings(executor, sweep.direction, orient, bucket)
         # Pack the per-face coupling dict into flat kernel arrays.  cpl_src
         # holds *global* upwind element ids (psi of earlier buckets is
         # final), cpl_pos the position within this bucket.
@@ -96,86 +94,37 @@ class CompiledSweepEngine:
         else:
             cpl_pos = np.empty(0, dtype=np.int64)
             cpl_src = np.empty(0, dtype=np.int64)
-            cpl_mat = np.empty((0, num_nodes, num_nodes), dtype=np.float64)
-        t1 = time.perf_counter()
-        lu, piv = batched_gaussian_lu_factor(
-            a.reshape(batch * num_groups, num_nodes, num_nodes)
-        )
-        t2 = time.perf_counter()
-        timings.assembly_seconds += t1 - t0
-        timings.solve_seconds += t2 - t1
-        return {
+            cpl_mat = np.empty((0, sweep.num_nodes, sweep.num_nodes), dtype=np.float64)
+        return a, {
             "bucket": as_contiguous_i64(bucket),
             "mass": as_contiguous_f64(executor.matrices.mass[bucket]),
             "cpl_pos": cpl_pos,
             "cpl_src": cpl_src,
             "cpl_mat": cpl_mat,
-            "lu": as_contiguous_f64(lu),
-            "piv": as_contiguous_i64(piv),
             "interior": interior,
-            "rhs": np.empty((batch, num_groups, num_nodes), dtype=np.float64),
+            "rhs": np.empty(
+                (bucket.shape[0], sweep.num_groups, sweep.num_nodes), dtype=np.float64
+            ),
         }
 
-    def sweep_angle(self, executor, angle, total_source, boundary_values, incident, timings):
-        mesh = executor.mesh
-        direction = executor.quadrature.directions[angle]
-        asched = executor.schedule.for_angle(angle)
-        orientation = asched.classification.orientation  # (E, 6)
-        num_groups = executor.num_groups
-        num_nodes = executor.num_nodes
-        kernel = self._provider.kernel()
-        cache = executor.factor_cache
-        tel = active(getattr(executor, "telemetry", None))
-        sampler = None if tel is None else tel.bucket_sampler()
+    def factor_entry(self, sweep, assembled):
+        a, entry = assembled
+        n = sweep.num_nodes
+        lu, piv = batched_gaussian_lu_factor(a.reshape(-1, n, n))
+        entry["lu"] = as_contiguous_f64(lu)
+        entry["piv"] = as_contiguous_i64(piv)
+        return entry
 
-        psi_angle = np.zeros((mesh.num_cells, num_groups, num_nodes), dtype=np.float64)
-        source = as_contiguous_f64(total_source)
-        have_lagged = boundary_values is not None and len(boundary_values) > 0
-        # Vacuum interior sweep: the kernel assembles and solves; boundary
-        # terms fall back to the shared numpy RHS assembly + solve-only.
-        fused = not have_lagged and incident == 0.0
+    def assemble_rhs(self, sweep, bucket, orient, entry):
+        # Vacuum interior sweep: the kernel assembles the RHS itself.
+        if sweep.vacuum:
+            return None
+        return sweep.rhs(bucket, orient, interior=entry["interior"])
 
-        for index, bucket in enumerate(asched.buckets):
-            batch = bucket.shape[0]
-            orient = orientation[bucket]  # (B, 6)
-            key = (getattr(self, "name", "compiled"), angle, index)
-            entry = cache.get(key)
-            if tel is not None:
-                tel.incr("factor_cache_misses" if entry is None else "factor_cache_hits")
-            if entry is None:
-                entry = cache[key] = self._build_entry(
-                    executor, direction, orient, bucket, timings
-                )
-
-            sample = sampler is not None and sampler.want()
-            t0 = time.perf_counter()
-            if fused:
-                t1 = t0
-                kernel(
-                    entry["bucket"], entry["mass"], source,
-                    entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"],
-                    entry["lu"], entry["piv"], entry["rhs"], 1, psi_angle,
-                )
-                t2 = time.perf_counter()
-            else:
-                rhs = assemble_bucket_rhs(
-                    executor, angle, direction, orient, bucket, psi_angle,
-                    total_source, boundary_values, incident,
-                    interior=entry["interior"],
-                )
-                t1 = time.perf_counter()
-                kernel(
-                    entry["bucket"], entry["mass"], source,
-                    entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"],
-                    entry["lu"], entry["piv"], as_contiguous_f64(rhs), 0, psi_angle,
-                )
-                t2 = time.perf_counter()
-            # The fused kernel does not separate assembly from solve; its
-            # whole time is booked as solve, keeping the one-time entry
-            # build (above) as the assembly share.
-            timings.assembly_seconds += t1 - t0
-            timings.solve_seconds += t2 - t1
-            timings.systems_solved += batch * num_groups
-            if sample:
-                sampler.record(t2 - t0, batch * num_groups)
-        return psi_angle
+    def solve(self, sweep, bucket, entry, rhs):
+        fused = rhs is None
+        sweep.kernel(
+            entry["bucket"], entry["mass"], sweep.total_source,
+            entry["cpl_pos"], entry["cpl_src"], entry["cpl_mat"], entry["lu"], entry["piv"],
+            entry["rhs"] if fused else as_contiguous_f64(rhs), int(fused), sweep.psi,
+        )

@@ -27,17 +27,9 @@ bit, and falls back to the hand-written batched LU otherwise.
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
 from ..solvers.prefactor import batched_gaussian_lu_factor, batched_gaussian_lu_solve
-from ..telemetry import active
-from .batched import (
-    assemble_bucket_matrices,
-    assemble_bucket_rhs,
-    interior_upwind_couplings,
-)
+from .base import sweep_buckets
+from .batched import assemble_bucket_matrices, interior_upwind_couplings
 from .registry import register_engine
 
 __all__ = ["PrefactorizedSweepEngine"]
@@ -59,58 +51,27 @@ class PrefactorizedSweepEngine:
         return batched_gaussian_lu_factor, batched_gaussian_lu_solve
 
     def sweep_angle(self, executor, angle, total_source, boundary_values, incident, timings):
-        mesh = executor.mesh
-        direction = executor.quadrature.directions[angle]
-        asched = executor.schedule.for_angle(angle)
-        orientation = asched.classification.orientation  # (E, 6)
-        num_groups = executor.num_groups
-        num_nodes = executor.num_nodes
-        factor, solve_factored = self._factor_pair(executor)
-        cache = executor.factor_cache
-        tel = active(getattr(executor, "telemetry", None))
-        sampler = None if tel is None else tel.bucket_sampler()
-        psi_angle = np.zeros((mesh.num_cells, num_groups, num_nodes), dtype=float)
+        return sweep_buckets(
+            self, executor, angle, total_source, boundary_values, incident, timings,
+            kernel=self._factor_pair(executor),
+        )
 
-        for index, bucket in enumerate(asched.buckets):
-            # The sampled bucket time reuses the steady-state t0/t2 stamps
-            # below, so sampling adds no timer calls to the bucket loop.
-            sample = sampler is not None and sampler.want()
-            batch = bucket.shape[0]
-            orient = orientation[bucket]  # (B, 6)
-            # Namespaced by the registered engine name so distinct engines
-            # sharing one executor can never read each other's entries.
-            key = (getattr(self, "name", "prefactorized"), angle, index)
-            entry = cache.get(key)
-            if tel is not None:
-                tel.incr("factor_cache_misses" if entry is None else "factor_cache_hits")
-            if entry is None:
-                # Factor-once path: assemble the invariant systems and
-                # couplings, eliminate, and cache the packed factors.  The
-                # assembly is booked as assembly time, the elimination as
-                # solve time (it is the LU of the one-shot solve).
-                t0 = time.perf_counter()
-                a = assemble_bucket_matrices(executor, direction, orient, bucket)
-                interior = interior_upwind_couplings(executor, direction, orient, bucket)
-                t1 = time.perf_counter()
-                factors = factor(a.reshape(batch * num_groups, num_nodes, num_nodes))
-                t2 = time.perf_counter()
-                entry = cache[key] = (factors, interior)
-                timings.assembly_seconds += t1 - t0
-                timings.solve_seconds += t2 - t1
-            factors, interior = entry
+    def assemble_entry(self, sweep, bucket, orient):
+        executor, direction = sweep.executor, sweep.direction
+        return (
+            assemble_bucket_matrices(executor, direction, orient, bucket),
+            interior_upwind_couplings(executor, direction, orient, bucket),
+        )
 
-            t0 = time.perf_counter()
-            b = assemble_bucket_rhs(
-                executor, angle, direction, orient, bucket, psi_angle,
-                total_source, boundary_values, incident, interior=interior,
-            )
-            t1 = time.perf_counter()
-            solution = solve_factored(factors, b.reshape(batch * num_groups, num_nodes))
-            t2 = time.perf_counter()
-            psi_angle[bucket] = solution.reshape(batch, num_groups, num_nodes)
-            timings.assembly_seconds += t1 - t0
-            timings.solve_seconds += t2 - t1
-            timings.systems_solved += batch * num_groups
-            if sample:
-                sampler.record(t2 - t0, batch * num_groups)
-        return psi_angle
+    def factor_entry(self, sweep, assembled):
+        a, interior = assembled
+        factor, _ = sweep.kernel
+        n = sweep.num_nodes
+        return factor(a.reshape(-1, n, n)), interior
+
+    def assemble_rhs(self, sweep, bucket, orient, entry):
+        return sweep.rhs(bucket, orient, interior=entry[1])
+
+    def solve(self, sweep, bucket, entry, rhs):
+        _, solve_factored = sweep.kernel
+        return solve_factored(entry[0], rhs.reshape(-1, sweep.num_nodes))

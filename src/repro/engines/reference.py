@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -76,31 +77,20 @@ class ReferenceSweepEngine:
 
         tel = active(getattr(executor, "telemetry", None))
         sampler = None if tel is None else tel.bucket_sampler()
-
         # element_threads is 1 under octant-parallel execution: the worker
         # threads are spent at the octant level, never nested.
-        if executor.element_threads == 1:
+        threads = executor.element_threads
+        with nullcontext() if threads == 1 else ThreadPoolExecutor(threads) as pool:
+            map_elements = map if pool is None else pool.map
             for bucket in asched.buckets:
                 sample = sampler is not None and sampler.want()
                 if sample:
                     ts = time.perf_counter()
-                for element in bucket.tolist():
-                    process_element(element)
+                # Elements within a bucket are mutually independent; the
+                # bucket boundary is a synchronisation point.
+                list(map_elements(process_element, bucket.tolist()))
                 if sample:
                     sampler.record(
                         time.perf_counter() - ts, bucket.shape[0] * executor.num_groups
                     )
-        else:
-            with ThreadPoolExecutor(max_workers=executor.element_threads) as pool:
-                for bucket in asched.buckets:
-                    sample = sampler is not None and sampler.want()
-                    if sample:
-                        ts = time.perf_counter()
-                    # Elements within a bucket are mutually independent; the
-                    # bucket boundary is a synchronisation point.
-                    list(pool.map(process_element, bucket.tolist()))
-                    if sample:
-                        sampler.record(
-                            time.perf_counter() - ts, bucket.shape[0] * executor.num_groups
-                        )
         return psi_angle

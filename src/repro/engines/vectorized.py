@@ -12,19 +12,17 @@ Equivalence with the reference engine is exact up to floating-point
 associativity (the property tests assert agreement to ~1e-12): the same
 streaming matrix, mass term, upwind face couplings, lagged block-Jacobi
 traces and incident-boundary terms are applied, only batched over the bucket
-dimension.  Timing moves from per-element to per-bucket
-``time.perf_counter()`` calls, which also removes the timer overhead from the
-measured kernels.
+dimension.  The engine caches nothing, so its hooks for
+:func:`~repro.engines.base.sweep_buckets` are one assemble step (the whole
+system) and one solve step.  It is kept beside ``prefactorized`` as the
+uncached member of the ``batched`` bitwise family: the conformance matrix
+checks ``prefactorized`` against it bit for bit.
 """
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
-
-from ..telemetry import active
-from .batched import assemble_bucket_matrices, assemble_bucket_rhs
+from .base import sweep_buckets
+from .batched import assemble_bucket_matrices
 from .registry import register_engine
 
 __all__ = ["VectorizedSweepEngine"]
@@ -42,38 +40,15 @@ class VectorizedSweepEngine:
     bitwise_family = "batched"
 
     def sweep_angle(self, executor, angle, total_source, boundary_values, incident, timings):
-        mesh = executor.mesh
-        direction = executor.quadrature.directions[angle]
-        asched = executor.schedule.for_angle(angle)
-        orientation = asched.classification.orientation  # (E, 6)
-        num_groups = executor.num_groups
-        num_nodes = executor.num_nodes
-        psi_angle = np.zeros((mesh.num_cells, num_groups, num_nodes), dtype=float)
-        tel = active(getattr(executor, "telemetry", None))
-        sampler = None if tel is None else tel.bucket_sampler()
+        return sweep_buckets(
+            self, executor, angle, total_source, boundary_values, incident, timings
+        )
 
-        for bucket in asched.buckets:
-            # The sampled bucket time reuses the t0/t2 stamps below -- the
-            # rate-0 path is byte-identical to the uninstrumented loop.
-            sample = sampler is not None and sampler.want()
-            t0 = time.perf_counter()
-            batch = bucket.shape[0]
-            orient = orientation[bucket]  # (B, 6)
-            a = assemble_bucket_matrices(executor, direction, orient, bucket)
-            b = assemble_bucket_rhs(
-                executor, angle, direction, orient, bucket, psi_angle,
-                total_source, boundary_values, incident,
-            )
-            t1 = time.perf_counter()
-            solution = executor.solver.solve_batched(
-                a.reshape(batch * num_groups, num_nodes, num_nodes),
-                b.reshape(batch * num_groups, num_nodes),
-            )
-            t2 = time.perf_counter()
-            psi_angle[bucket] = solution.reshape(batch, num_groups, num_nodes)
-            timings.assembly_seconds += t1 - t0
-            timings.solve_seconds += t2 - t1
-            timings.systems_solved += batch * num_groups
-            if sample:
-                sampler.record(t2 - t0, batch * num_groups)
-        return psi_angle
+    def assemble_rhs(self, sweep, bucket, orient, entry):
+        matrices = assemble_bucket_matrices(sweep.executor, sweep.direction, orient, bucket)
+        return matrices, sweep.rhs(bucket, orient)
+
+    def solve(self, sweep, bucket, entry, system):
+        a, b = system
+        n = sweep.num_nodes
+        return sweep.executor.solver.solve_batched(a.reshape(-1, n, n), b.reshape(-1, n))

@@ -8,10 +8,13 @@ import pytest
 
 import repro
 from repro.config import ProblemSpec
+from repro.core.solver import TransportSolver
+from repro.engines import available_engines
 from repro.telemetry import NULL_PHASE, Telemetry
 
 SMALL = ProblemSpec(nx=3, ny=3, nz=3, angles_per_octant=1, num_groups=2,
                     num_inners=2, num_outers=1)
+CACHING_ENGINES = [e for e in ("prefactorized", "compiled") if e in available_engines()]
 
 
 class TestTelemetryObject:
@@ -152,14 +155,19 @@ class TestRunTelemetry:
         assert "telemetry" not in result.to_dict()
         assert "phase_seconds" not in result.summary()
 
-    def test_prefactorized_cache_counters(self):
-        result = repro.run(SMALL.with_(engine="prefactorized"), telemetry=True)
+    @pytest.mark.parametrize("engine", CACHING_ENGINES)
+    def test_factor_cache_counters(self, engine):
+        spec = SMALL.with_(engine=engine)
+        result = repro.run(spec, telemetry=True)
         counters = result.telemetry.counters
-        assert counters["factor_cache_misses"] > 0
-        # Sweep 1 factors every (angle, bucket); the remaining inners hit.
-        assert counters["factor_cache_hits"] == (
-            (SMALL.num_inners - 1) * counters["factor_cache_misses"]
+        # Sweep 1 misses, and factors, every (angle, bucket) exactly once;
+        # the remaining inners hit every one of them.
+        schedule = TransportSolver(spec).executor.schedule
+        buckets = sum(
+            len(schedule.for_angle(angle).buckets) for angle in range(schedule.num_angles)
         )
+        assert counters["factor_cache_misses"] == buckets
+        assert counters["factor_cache_hits"] == (SMALL.num_inners - 1) * buckets
 
     def test_multi_rank_halo_counters_match_result(self):
         result = repro.run(SMALL.with_(npex=3), telemetry=True)

@@ -152,8 +152,6 @@ class EngineContract:
         sampled = Telemetry(bucket_sample_rate=1.0)
         assert np.array_equal(bare, repro.run(self.spec, telemetry=plain).scalar_flux)
         assert np.array_equal(bare, repro.run(self.spec, telemetry=sampled).scalar_flux)
-        assert sampled.counters.get("bucket_samples", 0) >= 0  # counters exist or not,
-        # but numerics above already proved identity either way.
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "contract.jsonl"
             with SpanExporter(path) as exporter:

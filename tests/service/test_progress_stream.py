@@ -19,8 +19,11 @@ from repro.service import ServiceClient, ServiceDaemon, make_server
 
 
 def _handler_threads() -> int:
+    """Live gateway request-handler threads (ThreadingHTTPServer names each
+    one after its ``process_request_thread`` target)."""
     return sum(
-        1 for t in threading.enumerate() if not t.name.startswith("pytest")
+        1 for t in threading.enumerate()
+        if t.name.endswith("(process_request_thread)")
     )
 
 
@@ -92,6 +95,9 @@ class TestClientDisconnect:
         client = ServiceClient(port=server.port)
         job = client.submit(spec=tiny_spec.to_dict())
         assert executor.started.wait(timeout=10.0)
+        # The submit request's own handler thread exits on its own schedule;
+        # counting it in the baseline made the +3 check below flaky.
+        _wait_until(lambda: _handler_threads() == 0)
         baseline = _handler_threads()
 
         socks = []
