@@ -222,8 +222,9 @@ class ElementMatrices:
     ) -> np.ndarray:
         """Face-integrated outgoing flow ``oint_f (Omega.n) psi dS`` per group.
 
-        Used for leakage accounting in the particle-balance diagnostics.
-        ``psi`` has shape ``(G, N)``.
+        The reference definition of the boundary leakage: the sweep's
+        :class:`~repro.core.sweep.BoundaryFaceOperator` evaluates it for all
+        boundary faces at once, bit for bit.  ``psi`` has shape ``(G, N)``.
         """
         coupling = np.einsum("d,dij->ij", direction, self.face_own[element, face])
         # sum_i sum_j psi_j * F_ij  =  1^T F psi  (test function = 1 is in the space)

@@ -2,9 +2,10 @@
 
 For each angular direction the sweep follows the direction's bucket schedule;
 how the buckets are executed is delegated to a pluggable *sweep engine*
-(:mod:`repro.engines`): the ``reference`` engine runs the per-element
-assemble/solve loop of the paper's Figure 2 pseudocode, the ``vectorized``
-engine batch-assembles and batch-solves whole buckets.  In both cases the
+looked up in the engine registry (:mod:`repro.engines.registry`; ``unsnap
+engines`` lists what is registered).  The ``reference`` engine runs the
+per-element assemble/solve loop of the paper's Figure 2 pseudocode; the
+batched engines assemble and solve whole buckets.  In every case the
 assemble and solve phases are timed separately to reproduce the split of
 Table II.
 
@@ -16,6 +17,15 @@ Boundary handling:
   block-Jacobi decomposition) use *lagged* upwind traces supplied through
   :class:`BoundaryValues`, which is exactly the parallel block Jacobi scheme
   of Section III-A.1.
+
+Boundary diagnostics: after each angle the net boundary leakage is tallied
+and the outgoing rank-boundary traces are collected.  Both go through a
+per-angle :class:`BoundaryFaceOperator`, built from geometry alone the first
+time the angle is swept.  Its leakage is summed strictly sequentially in
+``mesh.boundary_faces()`` order, so it is bit for bit the per-face tally of
+:meth:`ElementMatrices.outgoing_partial_current
+<repro.core.assembly.ElementMatrices.outgoing_partial_current>` (see the
+class for the ordering contract).
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from .assembly import AssemblyTimings, ElementMatrices
 from .factor_cache import FactorCache
 from .flux import AngularFluxBank
 
-__all__ = ["BoundaryValues", "SweepResult", "SweepExecutor"]
+__all__ = ["BoundaryFaceOperator", "BoundaryValues", "SweepResult", "SweepExecutor"]
 
 
 @dataclass
@@ -115,8 +125,9 @@ class SweepExecutor:
     solver:
         Local solver instance or registry name (``"ge"`` / ``"lapack"``).
     engine:
-        Sweep engine instance or registry name (``"reference"`` /
-        ``"vectorized"``; see :mod:`repro.engines`).
+        Sweep engine instance or any name registered with
+        :func:`repro.engines.register_engine` (see
+        :func:`repro.engines.registry.available_engines`).
     halo_faces:
         Optional ``(n_halo, >=2)`` array whose first two columns are
         ``(cell, face)`` pairs owned by other ranks; outgoing traces on these
@@ -200,10 +211,14 @@ class SweepExecutor:
         # runs num_outers * num_inners of them).
         self._octant_pool: ThreadPoolExecutor | None = None
 
-        self._halo_set: set[tuple[int, int]] = set()
+        # Deduplicated through a set, whose iteration order fixes the key
+        # order of ``SweepResult.outgoing_halo``.
+        self._halo_faces: tuple[tuple[int, int], ...] = ()
         if halo_faces is not None and len(halo_faces):
             halo_faces = np.asarray(halo_faces, dtype=np.int64)
-            self._halo_set = {(int(c), int(f)) for c, f in halo_faces[:, :2]}
+            self._halo_faces = tuple({(int(c), int(f)) for c, f in halo_faces[:, :2]})
+        #: Per-angle :class:`BoundaryFaceOperator`, built on first use.
+        self._boundary_ops: list[BoundaryFaceOperator | None] = [None] * quadrature.num_angles
 
         #: Optional :class:`~repro.core.reflect.ReflectiveBoundary` helper.
         #: When set (by :class:`~repro.core.solver.TransportSolver` for
@@ -386,6 +401,10 @@ class SweepExecutor:
         octants = self.quadrature.octant_order()
 
         if self.octant_parallel:
+            # Octant workers only read the boundary operators: build any
+            # missing ones here, on the calling thread.
+            for angle in range(self.quadrature.num_angles):
+                self.boundary_operator(angle)
             # The buckets of different octants are independent, so whole
             # octants are dispatched across a thread pool.  Each worker
             # accumulates its own partials (in fixed angle order) and the
@@ -485,28 +504,26 @@ class SweepExecutor:
         )
 
     # ------------------------------------------------------------ diagnostics
+    def boundary_operator(self, angle: int) -> BoundaryFaceOperator:
+        """The angle's :class:`BoundaryFaceOperator`, built on first use.
+
+        It depends on geometry only, so it is kept across
+        :meth:`update_materials` and :meth:`invalidate_factor_cache`.
+        """
+        op = self._boundary_ops[angle]
+        if op is None:
+            op = self._boundary_ops[angle] = BoundaryFaceOperator.build(
+                self.mesh,
+                self.matrices,
+                self.quadrature.directions[angle],
+                self.schedule.for_angle(angle).classification.orientation,
+                self._halo_faces,
+            )
+        return op
+
     def _boundary_leakage(self, angle: int, psi_angle: np.ndarray, incident: float) -> np.ndarray:
         """Net outflow minus inflow through the domain boundary, per group."""
-        direction = self.quadrature.directions[angle]
-        orientation = self.schedule.for_angle(angle).classification.orientation
-        leak = np.zeros(self.num_groups, dtype=float)
-        for element, face in self.mesh.boundary_faces():
-            if (int(element), int(face)) in self._halo_set:
-                # Rank-interface faces are not part of the domain boundary;
-                # their flow is handled by the halo exchange.
-                continue
-            orient = orientation[element, face]
-            if orient == 1:
-                leak += self.matrices.outgoing_partial_current(
-                    int(element), int(face), direction, psi_angle[element]
-                )
-            elif orient == -1 and incident != 0.0:
-                coupling = np.einsum(
-                    "d,dij->ij", direction, self.matrices.face_own[int(element), int(face)]
-                )
-                # Incident flux is constant over the face: psi = incident.
-                leak += incident * coupling.sum()
-        return leak
+        return self.boundary_operator(angle).leakage(psi_angle, incident)
 
     def _collect_halo(
         self,
@@ -514,9 +531,105 @@ class SweepExecutor:
         psi_angle: np.ndarray,
         outgoing_halo: dict[tuple[int, int, int], np.ndarray],
     ) -> None:
-        if not self._halo_set:
-            return
-        orientation = self.schedule.for_angle(angle).classification.orientation
-        for cell, face in self._halo_set:
-            if orientation[cell, face] == 1:
-                outgoing_halo[(cell, face, angle)] = psi_angle[cell].copy()
+        for cell, face in self.boundary_operator(angle).halo_outflow:
+            outgoing_halo[(cell, face, angle)] = psi_angle[cell].copy()
+
+
+@dataclass(frozen=True)
+class BoundaryFaceOperator:
+    """One angle's boundary-face operator: leakage tally and halo outflow index.
+
+    Built once per executor and angle from geometry alone (face matrices,
+    direction, face orientation, halo faces).
+
+    *Leakage.*  The tallied faces are the domain-boundary faces in
+    ``mesh.boundary_faces()`` order, rank-interface (halo) faces skipped.
+    An outflow face contributes ``psi[e] @ w_f`` with
+    ``w_f = 1^T (Omega . F_own[e, f])``, exactly
+    :meth:`ElementMatrices.outgoing_partial_current`; an inflow face
+    contributes ``incident * sum(Omega . F_own[e, f])`` when the incident
+    flux is non-zero.  The contributions are summed strictly sequentially
+    from 0.0 in face order (``np.add.accumulate``), which is the float
+    operation sequence of the per-face loop ``leak += ...``, so the tally is
+    bit for bit that loop's.  A pairwise ``sum(axis=0)`` is not: at ``G = 1``
+    numpy reduces a contiguous column pairwise.
+
+    *Halo.*  :attr:`halo_outflow` lists the halo faces that are outflow for
+    this angle, in the executor's halo-set iteration order, which fixes the
+    key order of :attr:`SweepResult.outgoing_halo`.
+    """
+
+    #: Positions of the outflow / inflow faces among the tallied faces.
+    out_rows: np.ndarray
+    in_rows: np.ndarray
+    #: ``(F_out,)`` elements of the outflow faces.
+    out_cells: np.ndarray
+    #: ``(F_out, N)`` partial-current weights ``w_f``.
+    out_weights: np.ndarray
+    #: ``(F_in,)`` face integrals ``sum(Omega . F_own)`` of the inflow faces.
+    in_weights: np.ndarray
+    #: ``(cell, face)`` halo faces with outflow for this angle.
+    halo_outflow: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def build(
+        cls,
+        mesh: UnstructuredHexMesh,
+        matrices: ElementMatrices,
+        direction: np.ndarray,
+        orientation: np.ndarray,
+        halo_faces: tuple[tuple[int, int], ...],
+    ) -> BoundaryFaceOperator:
+        """Index and contract one angle's boundary faces.
+
+        ``halo_faces`` are the ``(cell, face)`` rank-interface faces, in the
+        order :attr:`halo_outflow` keeps.
+        """
+        # Rank-interface faces are not part of the domain boundary; their
+        # flow is handled by the halo exchange.
+        halo_set = set(halo_faces)
+        faces = np.array(
+            [cf for cf in mesh.boundary_faces().tolist() if tuple(cf) not in halo_set],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        orient = orientation[faces[:, 0], faces[:, 1]]
+        tallied = faces[orient != 0]
+        out = orient[orient != 0] == 1
+        # Batched contractions; each face's slice is bit-equal to the per-face
+        # ``einsum("d,dij->ij", direction, face_own[e, f])``.  Chunked so the
+        # gathered ``(faces, 3, N, N)`` block stays near 1 MiB.
+        chunk = max(1, 2**20 // matrices.face_own[0, 0].nbytes)
+        columns, totals = [], []
+        for start in range(0, len(tallied) or 1, chunk):
+            part = tallied[start : start + chunk]
+            coupling = np.einsum(
+                "d,fdij->fij", direction, matrices.face_own[part[:, 0], part[:, 1]]
+            )
+            columns.append(coupling.sum(axis=1))
+            totals.append(coupling.sum(axis=(1, 2)))
+        return cls(
+            out_rows=np.flatnonzero(out),
+            in_rows=np.flatnonzero(~out),
+            out_cells=tallied[out, 0],
+            out_weights=np.concatenate(columns)[out],
+            in_weights=np.concatenate(totals)[~out],
+            halo_outflow=tuple(
+                (cell, face) for cell, face in halo_faces if orientation[cell, face] == 1
+            ),
+        )
+
+    def leakage(self, psi_angle: np.ndarray, incident: float) -> np.ndarray:
+        """``(G,)`` net boundary outflow of the ``(E, G, N)`` angular flux."""
+        num_groups = psi_angle.shape[1]
+        # Stacked matvec: each face's product is bit-equal to ``psi[e] @ w_f``.
+        outflow = np.matmul(psi_angle[self.out_cells], self.out_weights[:, :, None])[:, :, 0]
+        if incident != 0.0:
+            # Row 0 is the 0.0 the per-face loop starts from.
+            rows = np.zeros((1 + len(self.out_rows) + len(self.in_rows), num_groups))
+            rows[1 + self.out_rows] = outflow
+            # Incident flux is constant over the face: psi = incident.
+            rows[1 + self.in_rows] = (incident * self.in_weights)[:, None]
+        else:
+            rows = np.zeros((1 + len(self.out_rows), num_groups))
+            rows[1:] = outflow
+        return np.add.accumulate(rows, axis=0)[-1]
